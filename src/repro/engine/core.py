@@ -21,7 +21,6 @@ nor the cache ever ships multi-megabyte activation tensors.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import threading
 import time
@@ -98,13 +97,6 @@ def _instrumented(method_name: str):
 # -- them by reference) --------------------------------------------------------
 
 
-def _build_handle_task(
-    task: Tuple[str, int, int, object, LayerSparsity]
-) -> WorkloadHandle:
-    network_name, seed, index, spec, target = task
-    return WorkloadHandle.build(network_name, seed, index, spec, target)
-
-
 def _simulate_layer_task(
     task: Tuple[
         AnyWorkload,
@@ -116,7 +108,9 @@ def _simulate_layer_task(
     ]
 ) -> LayerSimulation:
     workload, output_density, scnn_config, dcnn_config, dcnn_opt_config, table = task
-    simulation = simulate_layer(
+    # The simulation keeps ``workload`` itself, so a handle's result pickles
+    # (pool return, disk cache) without the tensors.
+    return simulate_layer(
         workload,
         scnn_config=scnn_config,
         dcnn_config=dcnn_config,
@@ -124,11 +118,6 @@ def _simulate_layer_task(
         energy_table=table,
         output_density=output_density,
     )
-    if isinstance(workload, WorkloadHandle):
-        # Keep the slim handle as the simulation's workload so pickling the
-        # result (pool return, disk cache) never ships the tensors.
-        simulation = dataclasses.replace(simulation, workload=workload)
-    return simulation
 
 
 def _layer_cycles_task(
@@ -412,9 +401,10 @@ class SimulationEngine:
         """Simulate every layer of ``network`` (SCNN + DCNN + oracle + energy).
 
         Equivalent to :func:`repro.scnn.simulator.simulate_network` — the
-        metrics are bitwise-identical — but cached and shardable: workload
-        generation and the per-layer simulations fan out across the process
-        pool, and a repeated request is served from the cache.
+        metrics are bitwise-identical — but cached and shardable: each layer's
+        workload is generated and simulated in one task, the tasks fan out
+        across the process pool, and a repeated request is served from the
+        cache.
 
         ``network`` accepts any registered workload name (resolved through
         :mod:`repro.workloads.registry`, which also supplies the workload's
@@ -437,30 +427,22 @@ class SimulationEngine:
         if cached is not None:
             return cached
 
-        workers = self._workers(parallel)
-        build_tasks = [
-            (network.name, seed, index, spec, sparsity[spec.name])
+        handles = [
+            WorkloadHandle(network.name, seed, index, spec, sparsity[spec.name])
             for index, spec in enumerate(network.layers)
         ]
-        handles = parallel_map(_build_handle_task, build_tasks, workers)
-        simulate_tasks = []
-        for index, handle in enumerate(handles):
-            output_density = (
-                handles[index + 1].activation_density
-                if index + 1 < len(handles)
-                else None
-            )
-            simulate_tasks.append(
-                (
-                    handle,
-                    output_density,
-                    scnn_config,
-                    dcnn_config,
-                    dcnn_opt_config,
-                    energy_table,
-                )
-            )
-        layers = parallel_map(_simulate_layer_task, simulate_tasks, workers)
+        # A layer's output density is its successor's input density, which
+        # the successor's recipe fixes; every layer is then built and
+        # simulated once, in one pass.
+        output_densities = [handle.activation_density for handle in handles[1:]]
+        configs = (scnn_config, dcnn_config, dcnn_opt_config, energy_table)
+        simulate_tasks = [
+            (handle, output_density, *configs)
+            for handle, output_density in zip(handles, output_densities + [None])
+        ]
+        layers = parallel_map(
+            _simulate_layer_task, simulate_tasks, self._workers(parallel)
+        )
         simulation = NetworkSimulation(network=network, layers=layers)
         self._store(key, simulation)
         return simulation

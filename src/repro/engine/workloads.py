@@ -3,10 +3,11 @@
 A :class:`WorkloadHandle` stands in for a :class:`~repro.nn.inference.LayerWorkload`
 everywhere the simulators and experiments read one, but carries only the
 *recipe* for the operand tensors — network name, seed, layer index, spec and
-target densities — plus the measured densities.  The tensors themselves are
-regenerated deterministically on first access (``np.random.default_rng([seed,
-index])``, exactly as :func:`repro.nn.inference.build_network_workloads`
-seeds each layer) and are dropped again when the handle is pickled.
+target densities — plus the densities that recipe yields.  The tensors
+themselves are regenerated deterministically on first access
+(``np.random.default_rng([seed, index])``, exactly as
+:func:`repro.nn.inference.build_network_workloads` seeds each layer) and are
+dropped again when the handle is pickled.
 
 This is what keeps both the process-pool path and the on-disk cache cheap:
 results cross process and disk boundaries at a few hundred bytes per layer
@@ -25,6 +26,7 @@ import numpy as np
 from repro.nn.densities import LayerSparsity
 from repro.nn.inference import LayerWorkload, build_layer_workload
 from repro.nn.layers import ConvLayerSpec
+from repro.nn.pruning import kept_count
 
 
 @dataclass
@@ -34,7 +36,12 @@ class WorkloadHandle:
     Duck-type compatible with ``LayerWorkload`` for every attribute the
     simulators, experiments and benchmarks read (``spec``, ``target``,
     ``weights``, ``activations``, ``weight_density``, ``activation_density``,
-    ``nonzero_multiplies``, ``dense_multiplies``).
+    ``dense_multiplies``).
+
+    The two densities are derived from the recipe, not measured: a
+    synthesised tensor keeps exactly :func:`~repro.nn.pruning.kept_count`
+    non-zeros, so each density is that count over the tensor's size — the
+    same float ``count_nonzero / size`` gives once the tensors exist.
     """
 
     network_name: str
@@ -42,47 +49,21 @@ class WorkloadHandle:
     index: int
     spec: ConvLayerSpec
     target: LayerSparsity
-    weight_density: float
-    activation_density: float
+    weight_density: float = field(init=False)
+    activation_density: float = field(init=False)
     _materialized: Optional[LayerWorkload] = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
 
-    @classmethod
-    def wrap(
-        cls, workload: LayerWorkload, network_name: str, seed: int, index: int
-    ) -> "WorkloadHandle":
-        """Wrap an already-built workload, keeping its tensors in memory."""
-        return cls(
-            network_name=network_name,
-            seed=seed,
-            index=index,
-            spec=workload.spec,
-            target=workload.target,
-            weight_density=workload.weight_density,
-            activation_density=workload.activation_density,
-            _materialized=workload,
+    def __post_init__(self) -> None:
+        weights = self.spec.weight_count
+        activations = self.spec.input_activation_count
+        self.weight_density = (
+            kept_count(self.target.weight_density, weights, minimum=1) / weights
         )
-
-    @classmethod
-    def build(
-        cls, network_name: str, seed: int, index: int, spec: ConvLayerSpec,
-        target: LayerSparsity,
-    ) -> "WorkloadHandle":
-        """Generate the workload now and wrap it (workers use this form)."""
-        handle = cls(
-            network_name=network_name,
-            seed=seed,
-            index=index,
-            spec=spec,
-            target=target,
-            weight_density=0.0,
-            activation_density=0.0,
+        self.activation_density = (
+            kept_count(self.target.activation_density, activations) / activations
         )
-        workload = handle.materialize()
-        handle.weight_density = workload.weight_density
-        handle.activation_density = workload.activation_density
-        return handle
 
     def materialize(self) -> LayerWorkload:
         """The full workload, regenerating the tensors if necessary."""
@@ -104,10 +85,6 @@ class WorkloadHandle:
         return self.materialize().activations
 
     @property
-    def nonzero_multiplies(self) -> int:
-        return self.materialize().nonzero_multiplies
-
-    @property
     def dense_multiplies(self) -> int:
         return self.spec.multiplies
 
@@ -117,6 +94,3 @@ class WorkloadHandle:
         state = self.__dict__.copy()
         state["_materialized"] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)

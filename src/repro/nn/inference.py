@@ -22,7 +22,7 @@ import numpy as np
 from repro.nn.densities import LayerSparsity, network_sparsity
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
-from repro.nn.pruning import generate_pruned_weights
+from repro.nn.pruning import generate_pruned_weights, kept_count
 from repro.nn.reference import conv2d_layer, max_pool2d, relu
 
 
@@ -51,18 +51,6 @@ class LayerWorkload:
         return float(np.count_nonzero(self.activations)) / self.activations.size
 
     @property
-    def nonzero_multiplies(self) -> int:
-        """Multiplies with both operands non-zero (the oracle work bound).
-
-        Computed exactly by convolving the operand non-zero masks, so it
-        accounts for boundary effects that the density product misses.
-        """
-        weight_mask = (self.weights != 0).astype(float)
-        act_mask = (self.activations != 0).astype(float)
-        products = conv2d_layer(act_mask, weight_mask, self.spec)
-        return int(round(products.sum()))
-
-    @property
     def dense_multiplies(self) -> int:
         return self.spec.multiplies
 
@@ -73,14 +61,17 @@ def _smooth(field: np.ndarray, radius: int) -> np.ndarray:
         return field
     size = 2 * radius + 1
     padded = np.pad(field, ((0, 0), (radius, radius), (radius, radius)), mode="edge")
-    # Separable box filter via cumulative sums along each spatial axis.
-    csum = np.cumsum(padded, axis=1)
+    # Separable box filter via cumulative sums along each spatial axis, in
+    # place: every live temporary of a large layer's planes adds to peak memory.
+    csum = np.cumsum(padded, axis=1, out=padded)
     vert = csum[:, size - 1 :, :].copy()
     vert[:, 1:, :] -= csum[:, : -size, :]
-    csum = np.cumsum(vert, axis=2)
+    del csum, padded
+    csum = np.cumsum(vert, axis=2, out=vert)
     horiz = csum[:, :, size - 1 :].copy()
     horiz[:, :, 1:] -= csum[:, :, : -size]
-    return horiz / (size * size)
+    horiz /= size * size
+    return horiz
 
 
 def generate_activations(
@@ -95,13 +86,15 @@ def generate_activations(
     ReLU outputs are non-negative and spatially clustered (neighbouring pixels
     of a feature map tend to fire together); the generator reproduces both
     properties by thresholding a smoothed noise field at the density quantile
-    and assigning positive magnitudes to the surviving positions.
+    and assigning positive magnitudes to the surviving positions, exactly
+    :func:`~repro.nn.pruning.kept_count` of them.
     """
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must be in (0, 1], got {density}")
     rng = rng or np.random.default_rng()
     shape = spec.input_shape
-    magnitudes = np.abs(rng.normal(0.0, 1.0, size=shape)) + 1e-6
+    magnitudes = np.abs(rng.normal(0.0, 1.0, size=shape))
+    magnitudes += 1e-6
     if density >= 1.0:
         return magnitudes
     field = _smooth(rng.normal(0.0, 1.0, size=shape), correlation_radius)
@@ -109,7 +102,7 @@ def generate_activations(
     mask = field > threshold
     # Quantile ties can leave the density slightly off; fix up by flipping the
     # minimum number of positions.
-    want = int(round(density * magnitudes.size))
+    want = kept_count(density, magnitudes.size)
     have = int(mask.sum())
     flat_mask = mask.reshape(-1)
     if have > want:
@@ -120,7 +113,8 @@ def generate_activations(
         off_positions = np.flatnonzero(~flat_mask)
         add = rng.choice(off_positions, size=want - have, replace=False)
         flat_mask[add] = True
-    return magnitudes * flat_mask.reshape(shape)
+    magnitudes *= flat_mask.reshape(shape)
+    return magnitudes
 
 
 def build_layer_workload(

@@ -31,6 +31,17 @@ def generate_dense_weights(
     return rng.normal(0.0, scale, size=spec.weight_shape)
 
 
+def kept_count(density: float, size: int, *, minimum: int = 0) -> int:
+    """Non-zeros a tensor of ``size`` elements synthesised at ``density`` keeps.
+
+    ``round(density * size)`` clamped to ``[minimum, size]``: the one formula
+    behind :func:`prune_to_density` (``minimum=1``) and
+    :func:`repro.nn.inference.generate_activations`, so a synthesised
+    tensor's density is known without materialising it.
+    """
+    return max(minimum, min(size, int(round(density * size))))
+
+
 def prune_to_density(
     weights: np.ndarray,
     density: float,
@@ -39,18 +50,20 @@ def prune_to_density(
     """Magnitude-prune ``weights`` so the kept fraction equals ``density``.
 
     The smallest-magnitude weights are zeroed first, exactly like phase one of
-    Han et al.'s pruning.  Ties at the threshold are broken randomly so the
-    requested density is hit exactly (up to integer rounding).
+    Han et al.'s pruning, until :func:`kept_count` remain.  A tiny random
+    jitter breaks ties so the density is hit exactly; the set to zero is then
+    chosen by partial selection (``np.argpartition``), which picks the same
+    indices a full sort would once the jittered magnitudes are distinct.
     """
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must be in (0, 1], got {density}")
     weights = np.asarray(weights, dtype=float)
     total = weights.size
-    keep = int(round(total * density))
-    if keep >= total:
+    # Only a full rounded count skips the jitter draw; a one-element tensor
+    # clamped up to its single weight still draws it, like any pruned tensor.
+    if kept_count(density, total) == total:
         return weights.copy()
-    if keep <= 0:
-        keep = 1
+    keep = kept_count(density, total, minimum=1)
 
     rng = rng or np.random.default_rng()
     magnitudes = np.abs(weights).reshape(-1)
@@ -58,9 +71,9 @@ def prune_to_density(
     # (common when many weights share a value) without reordering distinct
     # magnitudes.
     jitter = rng.uniform(0.0, 1.0, size=total) * 1e-12
-    order = np.argsort(magnitudes + jitter)
+    smallest = np.argpartition(magnitudes + jitter, total - keep - 1)
     pruned = weights.reshape(-1).copy()
-    pruned[order[: total - keep]] = 0.0
+    pruned[smallest[: total - keep]] = 0.0
     return pruned.reshape(weights.shape)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.layers import ConvLayerSpec
-from repro.nn.reference import conv2d_layer
 from repro.scnn.config import AcceleratorConfig, SCNN_CONFIG
 
 
@@ -21,13 +20,48 @@ def nonzero_multiplies(
 ) -> int:
     """Exact count of multiplies with both operands non-zero.
 
-    Computed by convolving the operand non-zero masks, which accounts for
-    border effects (products that never contribute to a real output are not
-    counted, matching what the real dataflow would skip).
+    These are the operand pairs of Cartesian-product convolution that reach a
+    real output (padding excluded).  Rather than convolve the two non-zero
+    masks, the count uses the integer identity
+
+        Σ_{g,c,s,r} (Σ_{k∈g} Wmask[k,c,s,r]) · box[g,c,s,r]
+
+    where ``box[g,c,s,r]``, the strided box sum of the zero-padded activation
+    mask over the output window, counts the non-zero inputs that tap
+    ``(s, r)`` of channel ``c`` in group ``g`` meets.  Every filter ``k`` of
+    the group applies that tap to exactly those inputs, so this regroups the
+    summed mask convolution; its terms are integers summed in int64, so the
+    count is exact.
     """
-    weight_mask = (np.asarray(weights) != 0).astype(float)
-    act_mask = (np.asarray(activations) != 0).astype(float)
-    return int(round(conv2d_layer(act_mask, weight_mask, spec).sum()))
+    weight_mask = np.asarray(weights) != 0
+    act_mask = np.asarray(activations) != 0
+    groups, stride, pad = spec.groups, spec.stride, spec.padding
+    num_k, c_per_group, filt_h, filt_w = weight_mask.shape
+    # Non-zero weights per (group, channel, tap), over the group's filters.
+    filters_per_tap = weight_mask.reshape(
+        groups, num_k // groups, c_per_group, filt_h, filt_w
+    ).sum(axis=1, dtype=np.int64)
+
+    padded = np.pad(act_mask, ((0, 0), (pad, pad), (pad, pad)))
+    out_h = (padded.shape[1] - filt_h) // stride + 1
+    out_w = (padded.shape[2] - filt_w) // stride + 1
+    # Separable strided box sum: over the output columns for each column
+    # offset r, then over the output rows for each row offset s.
+    columns = np.stack(
+        [
+            padded[:, :, r : r + out_w * stride : stride].sum(axis=2, dtype=np.int64)
+            for r in range(filt_w)
+        ],
+        axis=-1,
+    )
+    box = np.stack(
+        [
+            columns[:, s : s + out_h * stride : stride].sum(axis=1)
+            for s in range(filt_h)
+        ],
+        axis=1,
+    )
+    return int((filters_per_tap.reshape(box.shape) * box).sum())
 
 
 def oracle_cycles(

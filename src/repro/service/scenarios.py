@@ -317,7 +317,7 @@ def _run_single_layer(engine: SimulationEngine, params: Dict[str, Any]) -> Any:
             f"layers: {', '.join(names)}"
         ) from None
     spec = network.layers[index]
-    handle = WorkloadHandle.build(
+    handle = WorkloadHandle(
         network.name, params["seed"], index, spec, sparsity[spec.name]
     )
     run = engine.run([handle], [SCNN_CONFIG])

@@ -17,11 +17,6 @@ from typing import Union
 
 import numpy as np
 
-try:  # scipy stays optional on the scalar path; see _log_comb.
-    from scipy.special import gammaln as _gammaln
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _gammaln = None
-
 from repro.arch.registry import resolve_config
 from repro.dataflow.tiling import plan_layer
 from repro.nn.layers import ConvLayerSpec
@@ -71,11 +66,19 @@ def _expected_vector_count(elements: int, density_milli: int, width: int) -> flo
     return float((pmf * np.ceil(counts / width)).sum())
 
 
+@lru_cache(maxsize=None)
+def _log_gamma():
+    """Vectorised log-gamma, resolved on first use so import never loads scipy."""
+    try:  # scipy stays optional on the scalar path.
+        from scipy.special import gammaln
+    except ImportError:  # pragma: no cover - exercised only without scipy
+        return np.vectorize(math.lgamma, otypes=[np.float64])
+    return gammaln
+
+
 def _log_comb(n: int, k: np.ndarray) -> np.ndarray:
     """log C(n, k) via log-gamma (scipy when present, math.lgamma otherwise)."""
-    if _gammaln is not None:
-        return _gammaln(n + 1) - _gammaln(k + 1) - _gammaln(n - k + 1)
-    lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
+    lgamma = _log_gamma()
     return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 
 

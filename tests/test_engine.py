@@ -24,6 +24,7 @@ from repro.nn.inference import build_network_workloads
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
 from repro.scnn.config import SCNN_CONFIG, scnn_with_pe_count
+from repro.scnn.oracle import nonzero_multiplies
 from repro.scnn.simulator import simulate_network
 from repro.timeloop.dse import default_candidates, sweep
 
@@ -144,13 +145,9 @@ class TestFingerprint:
     def test_handle_materialization_does_not_change_the_key(self, tiny_network):
         sparsity = network_sparsity(tiny_network)
         spec = tiny_network.layers[0]
-        handle = WorkloadHandle.build("EngineNet", 0, 0, spec, sparsity[spec.name])
-        slim = WorkloadHandle(
-            network_name="EngineNet", seed=0, index=0, spec=spec,
-            target=sparsity[spec.name],
-            weight_density=handle.weight_density,
-            activation_density=handle.activation_density,
-        )
+        handle = WorkloadHandle("EngineNet", 0, 0, spec, sparsity[spec.name])
+        handle.materialize()
+        slim = WorkloadHandle("EngineNet", 0, 0, spec, sparsity[spec.name])
         assert fingerprint("wl", workload=handle) == fingerprint("wl", workload=slim)
 
 
@@ -164,19 +161,22 @@ class TestWorkloadHandle:
             handle = WorkloadHandle(
                 network_name=tiny_network.name, seed=0, index=index, spec=spec,
                 target=sparsity[spec.name],
-                weight_density=workload.weight_density,
-                activation_density=workload.activation_density,
             )
+            assert handle.weight_density == workload.weight_density
+            assert handle.activation_density == workload.activation_density
             assert np.array_equal(handle.weights, workload.weights)
             assert np.array_equal(handle.activations, workload.activations)
-            assert handle.nonzero_multiplies == workload.nonzero_multiplies
+            assert nonzero_multiplies(
+                spec, handle.weights, handle.activations
+            ) == nonzero_multiplies(spec, workload.weights, workload.activations)
 
     def test_pickle_drops_tensors_and_survives_round_trip(self, tiny_network):
         import pickle
 
         sparsity = network_sparsity(tiny_network)
         spec = tiny_network.layers[0]
-        handle = WorkloadHandle.build(tiny_network.name, 0, 0, spec, sparsity[spec.name])
+        handle = WorkloadHandle(tiny_network.name, 0, 0, spec, sparsity[spec.name])
+        handle.materialize()
         assert handle._materialized is not None
         restored = pickle.loads(pickle.dumps(handle))
         assert restored._materialized is None
@@ -370,9 +370,7 @@ class TestEngineGridPaths:
     def test_run_architectures_dense_fast_path_matches_adapters(self, tiny_network):
         sparsity = network_sparsity(tiny_network)
         workloads = [
-            WorkloadHandle.build(
-                tiny_network.name, 0, index, spec, sparsity[spec.name]
-            )
+            WorkloadHandle(tiny_network.name, 0, index, spec, sparsity[spec.name])
             for index, spec in enumerate(tiny_network.layers)
         ]
         architectures = ["DCNN", "DCNN-opt", "SCNN"]
