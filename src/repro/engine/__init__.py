@@ -4,7 +4,8 @@ Public surface:
 
 * :class:`SimulationEngine` — ``run(workloads, configs, parallel=N)`` for
   batched layer evaluation, ``run_network`` for full per-network simulations
-  (what the figure experiments consume), ``run_architectures`` for
+  (what the figure experiments consume) and ``run_networks`` for several of
+  them in one longest-first pool pass, ``run_architectures`` for
   workload x architecture grids evaluated through the registry's simulator
   adapters (what the ``compare`` sweeps consume), and ``sweep`` for parallel
   design-space exploration.

@@ -120,13 +120,25 @@ def _simulate_layer_task(
     )
 
 
-def _layer_cycles_task(
-    task: Tuple[AnyWorkload, AcceleratorConfig]
-) -> LayerCycleResult:
-    workload, config = task
-    return simulate_layer_cycles(
-        workload.spec, workload.weights, workload.activations, config
-    )
+def _layer_cycles_row_task(
+    task: Tuple[AnyWorkload, List[AcceleratorConfig]]
+) -> List[LayerCycleResult]:
+    # One task per workload row: a handle materialises its tensors once and
+    # every pending config of the row reuses them.
+    workload, configs = task
+    return [
+        simulate_layer_cycles(
+            workload.spec, workload.weights, workload.activations, config
+        )
+        for config in configs
+    ]
+
+
+def _workload_task_cost(task: Tuple) -> int:
+    """Dispatch cost of a task led by a workload: its input plus weight
+    element count, which synthesis and the cycle model both scale with."""
+    spec = task[0].spec
+    return spec.input_activation_count + spec.weight_count
 
 
 def _design_point_task(
@@ -404,7 +416,7 @@ class SimulationEngine:
         metrics are bitwise-identical — but cached and shardable: each layer's
         workload is generated and simulated in one task, the tasks fan out
         across the process pool, and a repeated request is served from the
-        cache.
+        cache.  This is :meth:`run_networks` of a one-network list.
 
         ``network`` accepts any registered workload name (resolved through
         :mod:`repro.workloads.registry`, which also supplies the workload's
@@ -412,40 +424,88 @@ class SimulationEngine:
         calibration).  ``sparsity`` overrides the per-layer density table
         either way — the hook the density-profile sweeps use.
         """
-        network, sparsity = _resolve_network_and_sparsity(network, sparsity)
-        key = fingerprint(
-            "network-simulation",
-            network=network,
-            seed=seed,
+        return self.run_networks(
+            [network],
+            seed,
             sparsity=sparsity,
-            scnn=scnn_config,
-            dcnn=dcnn_config,
-            dcnn_opt=dcnn_opt_config,
-            energy=energy_table,
-        )
-        cached = self._lookup(key)
-        if cached is not None:
-            return cached
+            parallel=parallel,
+            scnn_config=scnn_config,
+            dcnn_config=dcnn_config,
+            dcnn_opt_config=dcnn_opt_config,
+            energy_table=energy_table,
+        )[0]
 
-        handles = [
-            WorkloadHandle(network.name, seed, index, spec, sparsity[spec.name])
-            for index, spec in enumerate(network.layers)
+    @_instrumented("run_networks")
+    def run_networks(
+        self,
+        networks: Sequence[Union[str, Network]],
+        seed: int = 0,
+        *,
+        sparsity: Optional[Dict[str, LayerSparsity]] = None,
+        parallel: Optional[int] = None,
+        scnn_config: AcceleratorConfig = SCNN_CONFIG,
+        dcnn_config: AcceleratorConfig = DCNN_CONFIG,
+        dcnn_opt_config: AcceleratorConfig = DCNN_OPT_CONFIG,
+        energy_table: EnergyTable = DEFAULT_ENERGY_TABLE,
+    ) -> List[NetworkSimulation]:
+        """Simulate several networks in one pass; one result per network.
+
+        Each network is resolved and cached exactly as :meth:`run_network`
+        does it (same key, so a later ``run_network`` call is a memo hit).
+        The layer tasks of every network that misses the cache go to one
+        :func:`~repro.engine.parallel.parallel_map`, largest layer first, so
+        the pool pays one start-up and one tail instead of one per network.
+        ``sparsity``, when given, overrides the density table of every
+        network.
+        """
+        resolved = [
+            _resolve_network_and_sparsity(network, sparsity) for network in networks
         ]
-        # A layer's output density is its successor's input density, which
-        # the successor's recipe fixes; every layer is then built and
-        # simulated once, in one pass.
-        output_densities = [handle.activation_density for handle in handles[1:]]
+        keys = [
+            fingerprint(
+                "network-simulation",
+                network=network,
+                seed=seed,
+                sparsity=table,
+                scnn=scnn_config,
+                dcnn=dcnn_config,
+                dcnn_opt=dcnn_opt_config,
+                energy=energy_table,
+            )
+            for network, table in resolved
+        ]
+        requests = dict(zip(keys, resolved))  # one entry per distinct network
+        found = {key: self._lookup(key) for key in requests}
         configs = (scnn_config, dcnn_config, dcnn_opt_config, energy_table)
-        simulate_tasks = [
-            (handle, output_density, *configs)
-            for handle, output_density in zip(handles, output_densities + [None])
-        ]
+        tasks: List[Tuple] = []
+        spans: List[Tuple[str, Network, int, int]] = []
+        for key, (network, table) in requests.items():
+            if found[key] is not None:
+                continue
+            handles = [
+                WorkloadHandle(network.name, seed, index, spec, table[spec.name])
+                for index, spec in enumerate(network.layers)
+            ]
+            # A layer's output density is its successor's input density,
+            # which the successor's recipe fixes; every layer is then built
+            # and simulated once, in one pass.
+            output_densities = [handle.activation_density for handle in handles[1:]]
+            start = len(tasks)
+            tasks.extend(
+                (handle, output_density, *configs)
+                for handle, output_density in zip(handles, output_densities + [None])
+            )
+            spans.append((key, network, start, len(tasks)))
         layers = parallel_map(
-            _simulate_layer_task, simulate_tasks, self._workers(parallel)
+            _simulate_layer_task,
+            tasks,
+            self._workers(parallel),
+            cost=_workload_task_cost,
         )
-        simulation = NetworkSimulation(network=network, layers=layers)
-        self._store(key, simulation)
-        return simulation
+        for key, network, start, stop in spans:
+            found[key] = NetworkSimulation(network=network, layers=layers[start:stop])
+            self._store(key, found[key])
+        return [found[key] for key in keys]
 
     # -- batched layer evaluation -----------------------------------------------
 
@@ -459,10 +519,12 @@ class SimulationEngine:
     ) -> EngineRun:
         """Evaluate every workload on every configuration with the cycle model.
 
-        The (workload, config) grid is flattened into independent tasks and
-        sharded across the pool; each cell is individually content-addressed
-        in the disk cache (synthetic workloads by their generative recipe,
-        raw workloads by a digest of their tensors).
+        Each workload row is one task holding that row's configs that miss
+        the cache, so a handle is materialised once per row, not once per
+        cell; the tasks shard across the pool, largest workload first.  Each
+        cell is individually content-addressed in the disk cache (synthetic
+        workloads by their generative recipe, raw workloads by a digest of
+        their tensors).
         """
         workloads = list(workloads)
         configs = list(configs) if configs is not None else [SCNN_CONFIG]
@@ -475,8 +537,9 @@ class SimulationEngine:
         # back through fingerprint() is idempotent.
         workload_parts = [describe(workload) for workload in workloads]
         config_parts = [describe(config) for config in configs]
-        pending: List[Tuple[int, int, str]] = []
+        pending: List[Tuple[int, List[Tuple[int, str]]]] = []
         for i, workload in enumerate(workloads):
+            row: List[Tuple[int, str]] = []
             for j, config in enumerate(configs):
                 key = fingerprint(
                     "layer-cycles", workload=workload_parts[i], config=config_parts[j]
@@ -485,15 +548,19 @@ class SimulationEngine:
                 if cached is not None:
                     cells[i][j] = cached
                 else:
-                    pending.append((i, j, key))
+                    row.append((j, key))
+            if row:
+                pending.append((i, row))
         results = parallel_map(
-            _layer_cycles_task,
-            [(workloads[i], configs[j]) for i, j, _ in pending],
+            _layer_cycles_row_task,
+            [(workloads[i], [configs[j] for j, _ in row]) for i, row in pending],
             self._workers(parallel),
+            cost=_workload_task_cost,
         )
-        for (i, j, key), result in zip(pending, results):
-            cells[i][j] = result
-            self._store(key, result)
+        for (i, row), row_results in zip(pending, results):
+            for (j, key), result in zip(row, row_results):
+                cells[i][j] = result
+                self._store(key, result)
         return EngineRun(workloads=workloads, configs=configs, results=cells)
 
     @_instrumented("run_architectures")

@@ -4,10 +4,12 @@ Lists and runs the experiment drivers (one per paper table/figure) so the
 evaluation can be regenerated without writing any Python.  ``python -m repro``
 forwards here as well.
 
-The simulation engine behind the drivers is configured here: ``--parallel N``
-shards independent layer simulations across N worker processes, and
-``--cache-dir PATH`` persists finished metrics to a content-addressed
-on-disk cache so re-running an experiment with unchanged inputs is instant
+The simulation engine behind the drivers is configured here: layer
+simulations shard across one worker process per usable CPU by default
+(``--parallel N`` or ``REPRO_PARALLEL=N`` sets the pool size, and ``1``
+runs serially; the output is identical either way), and ``--cache-dir
+PATH`` persists finished metrics to a content-addressed on-disk cache so
+re-running an experiment with unchanged inputs is instant
 (``REPRO_CACHE_DIR`` sets the same root environment-wide; ``--no-cache``
 overrides both).
 
@@ -26,6 +28,7 @@ project's static-analysis rule catalogue (:mod:`repro.devtools.lint`).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Dict, List, Sequence
@@ -96,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="shard layer simulations across N worker processes "
-        "(-1 = one per CPU; default: serial)",
+        "(-1 = one per usable CPU, the default unless $REPRO_PARALLEL is "
+        "set; 1 = serial, with identical output)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -172,8 +176,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(list_experiments())
         return 0
     cache_dir = False if args.no_cache else args.cache_dir
-    if cache_dir is not None or args.parallel is not None:
-        configure_default_engine(cache_dir=cache_dir, parallel=args.parallel)
+    parallel = args.parallel
+    if parallel is None and not os.environ.get("REPRO_PARALLEL"):
+        parallel = -1
+    configure_default_engine(cache_dir=cache_dir, parallel=parallel)
     try:
         run_experiments(args.experiments)
     except KeyError as error:

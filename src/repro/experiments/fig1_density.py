@@ -15,7 +15,8 @@ from typing import Dict, List
 
 from repro.analysis.metrics import DensityRow, average_work_reduction, density_table
 from repro.analysis.reporting import format_table
-from repro.experiments.common import EVALUATED_NETWORKS, cached_network, cached_simulation
+from repro.engine import default_engine
+from repro.experiments.common import EVALUATED_NETWORKS, cached_network
 
 
 @dataclass
@@ -35,10 +36,17 @@ def run(networks: tuple = EVALUATED_NETWORKS, *, measured: bool = True) -> Dict[
     itself is reported.
     """
     reports: Dict[str, DensityReport] = {}
-    for name in networks:
+    # One engine pass simulates every network's layers, largest first across
+    # the pool; Fig. 1 is the first experiment of ``repro all`` to need them,
+    # and later figures hit the engine memo.
+    simulations = (
+        default_engine().run_networks(list(networks))
+        if measured
+        else [None] * len(networks)
+    )
+    for name, simulation in zip(networks, simulations):
         network = cached_network(name)
-        if measured:
-            simulation = cached_simulation(name)
+        if simulation is not None:
             workloads = [layer.workload for layer in simulation.layers]
             rows = density_table(network, workloads)
         else:

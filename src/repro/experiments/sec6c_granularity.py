@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.analysis.reporting import format_table
+from repro.engine import default_engine
 from repro.experiments.common import cached_simulation
 from repro.scnn.config import scnn_with_pe_count
-from repro.scnn.cycles import simulate_layer_cycles
 
 DEFAULT_PE_COUNTS = (64, 16, 4)
 
@@ -38,19 +38,22 @@ def run(
     network_name: str = "googlenet",
     seed: int = 0,
 ) -> List[GranularityPoint]:
-    """Simulate the network at each PE count, reusing one set of workloads."""
+    """Simulate the network at each PE count, reusing one set of workloads.
+
+    The workloads x PE-count grid goes through the engine's :meth:`run
+    <repro.engine.SimulationEngine.run>`: one task per layer evaluates every
+    PE count on that layer's tensors, across the pool when the engine has one.
+    """
     simulation = cached_simulation(network_name, seed)
     workloads = [layer.workload for layer in simulation.layers]
+    configs = [scnn_with_pe_count(num_pes) for num_pes in pe_counts]
+    grid = default_engine().run(workloads, configs)
     points = []
-    for num_pes in pe_counts:
-        config = scnn_with_pe_count(num_pes)
+    for j, (num_pes, config) in enumerate(zip(pe_counts, configs)):
         total_cycles = 0
         weighted_util = 0.0
         weighted_idle = 0.0
-        for workload in workloads:
-            result = simulate_layer_cycles(
-                workload.spec, workload.weights, workload.activations, config
-            )
+        for result in (row[j] for row in grid.results):
             total_cycles += result.cycles
             weighted_util += result.multiplier_utilization * result.cycles
             weighted_idle += result.idle_fraction * result.cycles

@@ -154,14 +154,45 @@ class TestWorkloadsDispatch:
 
 
 class TestMain:
+    @pytest.fixture(autouse=True)
+    def _isolate_default_engine(self, monkeypatch):
+        """main() reconfigures the process-wide engine; undo it afterwards,
+        and start each test with no engine and no engine variables."""
+        import repro.engine
+
+        monkeypatch.setattr(repro.engine, "_default_engine", None)
+        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+
+    @staticmethod
+    def _engine():
+        import repro.engine
+
+        return repro.engine._default_engine
+
     def test_list_exit_code(self, capsys):
         assert cli.main(["--list"]) == 0
         assert "table1" in capsys.readouterr().out
+        assert self._engine() is None  # listing configures no engine
 
     def test_single_experiment_exit_code(self, capsys):
         assert cli.main(["table4"]) == 0
         assert "Table IV" in capsys.readouterr().out
+        # By default experiments shard across one worker per usable CPU.
+        assert self._engine().parallel == -1
 
     def test_unknown_experiment_exit_code(self, capsys):
         assert cli.main(["bogus"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    def test_parallel_flag_one_is_serial(self, capsys):
+        from repro.engine import resolve_workers
+
+        assert cli.main(["--parallel", "1", "table4"]) == 0
+        assert self._engine().parallel == 1
+        assert resolve_workers(self._engine().parallel, 72) == 0
+
+    def test_environment_one_is_serial(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_PARALLEL", "1")
+        assert cli.main(["table4"]) == 0
+        assert self._engine().parallel == 1

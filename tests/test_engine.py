@@ -9,6 +9,8 @@ Three properties matter:
   ``dse.sweep`` reference implementations.
 """
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,13 @@ from repro.engine import (
     SimulationEngine,
     WorkloadHandle,
     fingerprint,
+    parallel_map,
     resolve_workers,
 )
 from repro.nn.densities import LayerSparsity, network_sparsity
 from repro.nn.inference import build_network_workloads
 from repro.nn.layers import ConvLayerSpec
-from repro.nn.networks import Network
+from repro.nn.networks import Network, get_network
 from repro.scnn.config import SCNN_CONFIG, scnn_with_pe_count
 from repro.scnn.oracle import nonzero_multiplies
 from repro.scnn.simulator import simulate_network
@@ -259,6 +262,51 @@ class TestEngineNetworkSimulation:
         assert warm_stats["hit_rate"] == 1.0
 
 
+class TestEngineRunNetworks:
+    @pytest.fixture(scope="class")
+    def second_network(self) -> Network:
+        return Network(
+            "EngineNetB",
+            (
+                ConvLayerSpec("b1", 4, 12, 10, 10, 3, 3, padding=1),
+                ConvLayerSpec("b2", 12, 6, 10, 10, 1, 1),
+            ),
+        )
+
+    def test_pooled_pass_identical_to_simulate_network(
+        self, tiny_network, second_network
+    ):
+        engine = SimulationEngine(cache_dir=False)
+        simulations = engine.run_networks(
+            [tiny_network, second_network, "alexnet"], seed=0, parallel=2
+        )
+        references = [
+            simulate_network(tiny_network, seed=0),
+            simulate_network(second_network, seed=0),
+            simulate_network(get_network("alexnet"), seed=0),
+        ]
+        assert [s.network.name for s in simulations] == [
+            "EngineNet", "EngineNetB", "AlexNet"
+        ]
+        for simulation, reference in zip(simulations, references):
+            assert_simulations_identical(simulation, reference)
+
+    def test_later_run_network_is_a_memo_hit(self, tiny_network, second_network):
+        engine = SimulationEngine(cache_dir=False)
+        simulations = engine.run_networks([tiny_network, second_network])
+        hits = engine.stats()["hits"]
+        assert engine.run_network(second_network) is simulations[1]
+        assert engine.run_network(tiny_network) is simulations[0]
+        assert engine.stats()["hits"] - hits == 2
+
+    def test_cached_and_repeated_networks_simulated_once(self, tiny_network):
+        engine = SimulationEngine(cache_dir=False)
+        first = engine.run_network(tiny_network)
+        again = engine.run_networks([tiny_network, tiny_network])
+        assert again[0] is first and again[1] is first
+        assert engine.stats()["memory_entries"] == 1
+
+
 class TestEngineRunGrid:
     @pytest.fixture(scope="class")
     def workloads(self, tiny_network):
@@ -279,8 +327,15 @@ class TestEngineRunGrid:
         with pytest.raises(KeyError):
             run.total_cycles("also-nonexistent")
 
-    def test_parallel_grid_identical_to_serial(self, workloads):
-        configs = [SCNN_CONFIG, scnn_with_pe_count(16)]
+    @pytest.mark.parametrize("recipes", [False, True], ids=["tensors", "handles"])
+    def test_parallel_grid_identical_to_serial(self, workloads, tiny_network, recipes):
+        if recipes:  # pooled workers re-synthesise each row's tensors once
+            sparsity = network_sparsity(tiny_network)
+            workloads = [
+                WorkloadHandle(tiny_network.name, 0, index, spec, sparsity[spec.name])
+                for index, spec in enumerate(tiny_network.layers)
+            ]
+        configs = [SCNN_CONFIG, scnn_with_pe_count(16), scnn_with_pe_count(4)]
         serial = SimulationEngine(cache_dir=False).run(workloads, configs)
         parallel = SimulationEngine(cache_dir=False).run(
             workloads, configs, parallel=2
@@ -289,6 +344,19 @@ class TestEngineRunGrid:
             for cell_s, cell_p in zip(row_s, row_p):
                 assert cell_s.cycles == cell_p.cycles
                 assert cell_s.products == cell_p.products
+                assert cell_s.multiplier_utilization == cell_p.multiplier_utilization
+                assert cell_s.idle_fraction == cell_p.idle_fraction
+                assert np.array_equal(
+                    cell_s.busy_cycles_per_pe, cell_p.busy_cycles_per_pe
+                )
+
+    def test_partly_cached_rows_fill_only_missing_cells(self, workloads):
+        engine = SimulationEngine(cache_dir=False)
+        configs = [SCNN_CONFIG, scnn_with_pe_count(16)]
+        first = engine.run(workloads[:1], configs[1:])
+        grid = engine.run(workloads, configs)
+        assert grid.results[0][1] is first.results[0][0]
+        assert engine.stats()["memory_entries"] == len(workloads) * len(configs)
 
     def test_cells_individually_cached(self, workloads, tmp_path):
         engine = SimulationEngine(cache_dir=tmp_path)
@@ -337,8 +405,66 @@ class TestResolveWorkers:
     def test_bounded_by_tasks_and_cpus(self):
         import os
 
+        usable = (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1
+        )
         assert resolve_workers(8, 3) == 3
-        assert resolve_workers(-1, 2) == min(os.cpu_count() or 1, 2)
+        assert resolve_workers(-1, 2) == min(usable, 2)
+
+    def test_one_usable_cpu_runs_serially(self, monkeypatch):
+        """A process pinned to one CPU never forks, however many the host has."""
+        import os
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert resolve_workers(-1, 10) == 1
+        assert parallel_map(_pid, range(4), -1) == [os.getpid()] * 4
+
+
+def _pid(_task) -> int:
+    import os
+
+    return os.getpid()
+
+
+class TestParallelMapScheduling:
+    def test_results_in_submission_order_when_cost_reverses_it(self):
+        tasks = list(range(8))
+        assert parallel_map(operator.neg, tasks, 2, cost=lambda task: task) == [
+            -task for task in tasks
+        ]
+
+    def test_pool_dispatches_costliest_first_one_at_a_time(self, monkeypatch):
+        from repro.engine import parallel
+
+        dispatched = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, function, tasks, chunksize):
+                assert chunksize == 1
+                dispatched.extend(tasks)
+                return map(function, tasks)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+        tasks = [3, 9, 1, 9, 5]
+        costs = {3: 30, 9: 90, 1: 10, 5: 50}
+        results = parallel_map(operator.neg, tasks, 2, cost=costs.__getitem__)
+        assert dispatched == [9, 9, 5, 3, 1]
+        assert results == [-3, -9, -1, -9, -5]
+        dispatched.clear()
+        parallel_map(operator.neg, tasks, 2)  # no cost: submission order
+        assert dispatched == tasks
 
 
 class TestEngineGridPaths:

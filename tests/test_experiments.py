@@ -152,6 +152,23 @@ class TestSectionVIC:
         )
         assert 1.0 < sec6c_granularity.speedup_64_vs_4(points) < 2.0
 
+    def test_pooled_engine_gives_the_same_points(self, monkeypatch):
+        """Through a pooled engine the workers re-synthesise each layer's
+        tensors from its recipe; the points must not move."""
+        import repro.engine
+        from repro.engine import SimulationEngine
+
+        points = {}
+        for parallel in (None, 2):
+            monkeypatch.setattr(
+                repro.engine,
+                "_default_engine",
+                SimulationEngine(cache_dir=False, parallel=parallel),
+            )
+            points[parallel] = sec6c_granularity.run(network_name="alexnet")
+        assert points[2] == points[None]
+        assert [point.num_pes for point in points[2]] == [64, 16, 4]
+
     def test_missing_pe_count_rejected(self):
         points = sec6c_granularity.run(pe_counts=(64,), network_name="alexnet")
         with pytest.raises(KeyError):
